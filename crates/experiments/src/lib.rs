@@ -19,7 +19,7 @@ pub mod runner;
 pub mod throughput;
 
 use cosmos_common::json::Value;
-use cosmos_common::{PhysAddr, Trace};
+use cosmos_common::Trace;
 use cosmos_core::{Design, SimConfig, SimStats, Simulator};
 use cosmos_sampling::SamplingConfig;
 use cosmos_telemetry::Telemetry;
@@ -166,8 +166,9 @@ impl Args {
             .then(|| SamplingConfig::for_trace(self.accesses))
     }
 
-    /// A [`GraphSet`] for this run's spec, with graph and trace generation
-    /// timed under the `trace_gen` telemetry phase.
+    /// A [`GraphSet`] for this run's spec, with graph generation timed
+    /// under the `graph_gen` telemetry phase and trace generation under
+    /// `trace_gen`.
     pub fn graph_set(&self) -> GraphSet {
         GraphSet::with_telemetry(self.spec(), self.telemetry.clone())
     }
@@ -222,25 +223,15 @@ impl GraphSet {
         Self::with_telemetry(spec, Telemetry::disabled())
     }
 
-    /// Generates the graph described by `spec`, timing generation (and
-    /// every later [`trace`](Self::trace) call) under the `trace_gen`
-    /// telemetry phase. Prefer [`Args::graph_set`].
+    /// Generates the graph described by `spec`, timing graph and layout
+    /// construction under the `graph_gen` telemetry phase and every later
+    /// [`trace`](Self::trace) call under `trace_gen`. Prefer
+    /// [`Args::graph_set`].
     pub fn with_telemetry(spec: TraceSpec, telemetry: Telemetry) -> Self {
-        let _p = telemetry.phase("trace_gen");
-        let graph = Graph::generate(
-            spec.graph_kind,
-            spec.graph_vertices,
-            spec.graph_degree,
-            spec.seed,
-        );
-        let layout = GraphLayout::new(
-            spec.graph_layout,
-            PhysAddr::new(1 << 22),
-            graph.num_vertices() as u64,
-            graph.num_edges() as u64,
-            2,
-        );
-        drop(_p);
+        let (graph, layout) = {
+            let _p = telemetry.phase("graph_gen");
+            spec.build_graph()
+        };
         Self {
             graph,
             layout,
@@ -363,6 +354,24 @@ mod tests {
         let set = GraphSet::new(spec);
         let t = set.trace(GraphKernel::Bfs);
         assert!(t.len() >= 3900 && t.len() <= 4100);
+    }
+
+    #[test]
+    fn graphset_times_graph_and_traces_as_separate_phases() {
+        let telemetry = Telemetry::in_memory();
+        let spec = TraceSpec::small_test(7).with_accesses(2000);
+        let set = GraphSet::with_telemetry(spec, telemetry.clone());
+        set.trace(GraphKernel::Bfs);
+        set.trace(GraphKernel::Pr);
+        let calls = |name| {
+            telemetry
+                .phase_summary()
+                .iter()
+                .find(|p| p.0 == name)
+                .map(|p| p.1)
+        };
+        assert_eq!(calls("graph_gen"), Some(1));
+        assert_eq!(calls("trace_gen"), Some(2));
     }
 
     #[test]

@@ -53,19 +53,7 @@ impl Workload {
     pub fn generate(&self, spec: &TraceSpec) -> Trace {
         match self {
             Workload::Graph(kernel) => {
-                let graph = Graph::generate(
-                    spec.graph_kind,
-                    spec.graph_vertices,
-                    spec.graph_degree,
-                    spec.seed,
-                );
-                let layout = GraphLayout::new(
-                    spec.graph_layout,
-                    PhysAddr::new(1 << 22),
-                    graph.num_vertices() as u64,
-                    graph.num_edges() as u64,
-                    2,
-                );
+                let (graph, layout) = spec.build_graph();
                 kernel.generate(&graph, &layout, spec.cores, spec.accesses, spec.seed)
             }
             Workload::Spec(kind) => {
@@ -134,6 +122,30 @@ impl TraceSpec {
             spec_footprint: 8 << 20,
             graph_layout: LayoutMode::Object,
         }
+    }
+
+    /// Generates the spec's graph and lays it out in memory: the one place
+    /// that fixes where graph workloads live (base 4 MiB) and how many
+    /// per-vertex property arrays they carry (2).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Graph::generate`] does: an empty or oversize graph.
+    pub fn build_graph(&self) -> (Graph, GraphLayout) {
+        let graph = Graph::generate(
+            self.graph_kind,
+            self.graph_vertices,
+            self.graph_degree,
+            self.seed,
+        );
+        let layout = GraphLayout::new(
+            self.graph_layout,
+            PhysAddr::new(1 << 22),
+            graph.num_vertices() as u64,
+            graph.num_edges() as u64,
+            2,
+        );
+        (graph, layout)
     }
 
     /// Returns a copy with a different access budget.
