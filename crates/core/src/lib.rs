@@ -32,6 +32,7 @@
 pub mod check;
 pub mod config;
 pub mod estimate;
+pub mod front_end;
 pub mod hierarchy;
 pub mod overhead;
 pub mod secure_path;
@@ -43,5 +44,6 @@ pub mod timing;
 pub use check::SecureObserver;
 pub use config::{Design, SimConfig};
 pub use estimate::StatsEstimate;
+pub use front_end::{FrontEndStream, HierarchyKey};
 pub use simulator::Simulator;
 pub use stats::{SimStats, TimelinePoint, TrafficBreakdown};

@@ -2,6 +2,7 @@
 //! data/CTR datapaths, and statistics collection.
 
 use crate::config::{Design, SimConfig};
+use crate::front_end::{FrontEnd, FrontEndStream, HierarchyKey};
 use crate::hierarchy::{CacheHierarchy, DataHit};
 use crate::secure_path::SecurePath;
 use crate::stats::{SimStats, TimelinePoint};
@@ -9,6 +10,10 @@ use crate::timing::CoreTimeline;
 use cosmos_common::{Cycle, LineAddr, MemAccess, Trace};
 use cosmos_dram::Dram;
 use cosmos_rl::{DataLocation, DataLocationPredictor};
+use std::sync::Arc;
+
+const REPLAY_HAS_NO_STATE: &str =
+    "a replaying simulator has no cache hierarchy to snapshot; run it live";
 
 /// The COSMOS simulator.
 ///
@@ -19,7 +24,7 @@ use cosmos_rl::{DataLocation, DataLocationPredictor};
 /// are charged as traffic).
 pub struct Simulator {
     config: SimConfig,
-    hierarchy: CacheHierarchy,
+    front: FrontEnd,
     secure: Option<SecurePath>,
     data_pred: Option<DataLocationPredictor>,
     dram: Dram,
@@ -43,6 +48,31 @@ impl Simulator {
     ///
     /// Panics if `config` is invalid.
     pub fn new(config: SimConfig) -> Self {
+        let front = FrontEnd::Live(Box::new(CacheHierarchy::new(&config)));
+        Self::with_front_end(config, front)
+    }
+
+    /// Builds a simulator for `config` whose L1/L2/LLC outcomes are read
+    /// from `stream` instead of simulated (see [`crate::front_end`]). It
+    /// allocates no cache hierarchy and produces the same statistics as
+    /// [`Simulator::new`] over the trace the stream was recorded from.
+    /// [`Simulator::save_state`] and [`Simulator::load_state`] fail on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid, if `stream` was recorded under a
+    /// different hierarchy than `config` describes, and — while running —
+    /// when the trace outlasts the stream.
+    pub fn replaying(config: SimConfig, stream: Arc<FrontEndStream>) -> Self {
+        assert_eq!(
+            stream.key(),
+            HierarchyKey::of(&config),
+            "front-end replay: stream recorded under a different cache hierarchy"
+        );
+        Self::with_front_end(config, FrontEnd::replay(stream))
+    }
+
+    fn with_front_end(config: SimConfig, front: FrontEnd) -> Self {
         config.validate();
         let secure = config.design.is_secure().then(|| SecurePath::new(&config));
         let data_pred = config.design.has_data_predictor().then(|| {
@@ -57,7 +87,7 @@ impl Simulator {
         let mut dram = Dram::new(config.dram);
         dram.set_telemetry(config.telemetry.clone());
         Self {
-            hierarchy: CacheHierarchy::new(&config),
+            front,
             secure,
             data_pred,
             dram,
@@ -176,9 +206,7 @@ impl Simulator {
     pub fn snapshot(&self) -> SimStats {
         let mut stats = self.stats.clone();
         stats.cycles = self.timeline.horizon();
-        stats.l1 = self.hierarchy.l1_stats();
-        stats.l2 = self.hierarchy.l2_stats();
-        stats.llc = self.hierarchy.llc_stats();
+        [stats.l1, stats.l2, stats.llc] = self.front.level_stats();
         if let Some(sp) = &self.secure {
             stats.ctr_cache = *sp.ctr_cache().stats();
             stats.mt_cache = *sp.mt_cache().stats();
@@ -207,10 +235,14 @@ impl Simulator {
     /// caller pairs the state with its config (the serve layer adds a
     /// config fingerprint to its snapshot envelope).
     ///
-    /// Fails for state that cannot round-trip: boxed replacement policies
-    /// and attached CTR prefetchers.
+    /// Fails for state that cannot round-trip: boxed replacement policies,
+    /// attached CTR prefetchers, and a replayed front end.
     pub fn save_state(&self) -> Result<cosmos_common::json::Value, String> {
         use cosmos_common::json::Value;
+        let hierarchy = match &self.front {
+            FrontEnd::Live(h) => h.save_state()?,
+            FrontEnd::Replay(_) => return Err(REPLAY_HAS_NO_STATE.into()),
+        };
         let secure = match &self.secure {
             Some(sp) => sp.save_state()?,
             None => Value::Null,
@@ -224,7 +256,7 @@ impl Simulator {
             None => Value::Null,
         };
         Ok(cosmos_common::json!({
-            "hierarchy": (self.hierarchy.save_state()?),
+            "hierarchy": (hierarchy),
             "secure": (secure),
             "data_pred": (data_pred),
             "dram": (self.dram.save_state()),
@@ -243,7 +275,10 @@ impl Simulator {
     /// offending field.
     pub fn load_state(&mut self, v: &cosmos_common::json::Value) -> Result<(), String> {
         use cosmos_common::json::{codec, Value};
-        self.hierarchy.load_state(codec::field(v, "hierarchy")?)?;
+        match &mut self.front {
+            FrontEnd::Live(h) => h.load_state(codec::field(v, "hierarchy")?)?,
+            FrontEnd::Replay(_) => return Err(REPLAY_HAS_NO_STATE.into()),
+        }
         let secure = codec::field(v, "secure")?;
         match (self.secure.as_mut(), matches!(secure, Value::Null)) {
             (Some(sp), false) => sp.load_state(secure)?,
@@ -324,7 +359,7 @@ impl Simulator {
     ) -> Cycle {
         // Take/restore keeps the buffer's capacity across accesses.
         let mut writebacks = std::mem::take(&mut self.wb_scratch);
-        let hit = self.hierarchy.access(core, line, false, &mut writebacks);
+        let hit = self.front.access(core, line, false, &mut writebacks);
         self.drain_writebacks(&writebacks, issue);
         self.wb_scratch = writebacks;
 
@@ -435,7 +470,7 @@ impl Simulator {
 
     fn process_write(&mut self, core: usize, line: LineAddr, issue: Cycle) {
         let mut writebacks = std::mem::take(&mut self.wb_scratch);
-        let hit = self.hierarchy.access(core, line, true, &mut writebacks);
+        let hit = self.front.access(core, line, true, &mut writebacks);
         // Store-buffer retirement: the core only pays the L1 latency.
         self.timeline.retire(core, issue + self.config.l1.latency);
         // A store miss that reaches DRAM still fetches (and decrypts) the
@@ -783,6 +818,130 @@ mod tests {
             stats.early_offchip_reads > 0,
             "no early off-chip reads despite DRAM-heavy workload"
         );
+    }
+
+    const ALL_DESIGNS: [Design; 7] = [
+        Design::Np,
+        Design::MorphCtr,
+        Design::Emcc,
+        Design::Rmcc,
+        Design::CosmosDp,
+        Design::CosmosCp,
+        Design::Cosmos,
+    ];
+
+    /// Runs `trace` live and replayed from one recorded stream; returns
+    /// both results.
+    fn live_and_replayed(config: &SimConfig, trace: &Trace) -> (SimStats, SimStats) {
+        let stream = Arc::new(FrontEndStream::record(config, trace));
+        let live = Simulator::new(config.clone()).run(trace);
+        let replayed = Simulator::replaying(config.clone(), stream).run(trace);
+        (live, replayed)
+    }
+
+    #[test]
+    fn replay_matches_live_for_every_design() {
+        let t = random_trace(12_000, 60_000, 0.6, 31);
+        // One stream serves every design: the hierarchy key is shared.
+        let stream = Arc::new(FrontEndStream::record(&tiny_config(Design::Np), &t));
+        for d in ALL_DESIGNS {
+            let live = Simulator::new(tiny_config(d)).run(&t);
+            let replayed = Simulator::replaying(tiny_config(d), Arc::clone(&stream)).run(&t);
+            assert_eq!(replayed, live, "{d}: replay diverged from the live run");
+        }
+    }
+
+    #[test]
+    fn replay_matches_live_on_graph_and_ml_traces() {
+        use cosmos_workloads::{graph::GraphKernel, ml::MlModel, TraceSpec, Workload};
+        let spec = TraceSpec::small_test(5).with_accesses(15_000);
+        for w in [
+            Workload::Graph(GraphKernel::Bfs),
+            Workload::Ml(MlModel::Bert),
+        ] {
+            let t = w.generate(&spec);
+            for d in [Design::MorphCtr, Design::Cosmos] {
+                let mut config = tiny_config(d);
+                config.cores = spec.cores;
+                let (live, replayed) = live_and_replayed(&config, &t);
+                assert_eq!(replayed, live, "{w}/{d}: replay diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_matches_live_with_timeline_and_tenants() {
+        let mut config = tiny_config(Design::Cosmos);
+        config.sample_interval = 1_000;
+        let t = random_trace(6_000, 40_000, 0.3, 32);
+        let (live, replayed) = live_and_replayed(&config, &t);
+        assert_eq!(live.timeline.len(), 6);
+        assert_eq!(replayed, live, "timeline run diverged");
+
+        let tagged: Trace = t
+            .iter()
+            .enumerate()
+            .map(|(i, a)| a.with_tenant((i % 3) as u8))
+            .collect();
+        let (live, replayed) = live_and_replayed(&tiny_config(Design::MorphCtr), &tagged);
+        assert!(live.tenant_ctr[2].total() > 0);
+        assert_eq!(replayed, live, "tenant-tagged run diverged");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "front-end replay: stream recorded under a different cache hierarchy"
+    )]
+    fn replay_rejects_a_stream_of_another_core_count() {
+        let t = random_trace(100, 1_000, 0.2, 33);
+        let stream = Arc::new(FrontEndStream::record(&tiny_config(Design::Np), &t));
+        let mut config = tiny_config(Design::Np);
+        config.cores = 4;
+        Simulator::replaying(config, stream);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "front-end replay: stream recorded under a different cache hierarchy"
+    )]
+    fn replay_rejects_a_stream_of_another_llc_size() {
+        let t = random_trace(100, 1_000, 0.2, 34);
+        let stream = Arc::new(FrontEndStream::record(&tiny_config(Design::Np), &t));
+        let mut config = tiny_config(Design::Cosmos);
+        config.llc.size_bytes *= 2;
+        Simulator::replaying(config, stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "front-end replay: stream exhausted")]
+    fn replay_panics_when_the_trace_outlasts_the_stream() {
+        let t = random_trace(1_000, 10_000, 0.2, 35);
+        let short: Trace = t.iter().take(999).copied().collect();
+        let stream = Arc::new(FrontEndStream::record(&tiny_config(Design::Np), &short));
+        Simulator::replaying(tiny_config(Design::MorphCtr), stream).run(&t);
+    }
+
+    #[test]
+    fn replaying_simulator_cannot_snapshot() {
+        let t = random_trace(500, 10_000, 0.2, 36);
+        let config = tiny_config(Design::Cosmos);
+        let state = {
+            let mut live = Simulator::new(config.clone());
+            for a in t.iter() {
+                live.step(a);
+            }
+            live.save_state().expect("a live simulator saves")
+        };
+        let stream = Arc::new(FrontEndStream::record(&config, &t));
+        let mut sim = Simulator::replaying(config, stream);
+        for a in t.iter() {
+            sim.step(a);
+        }
+        let err = sim
+            .save_state()
+            .expect_err("replay has no hierarchy to save");
+        assert!(err.contains("replaying"), "unhelpful error: {err}");
+        assert!(sim.load_state(&state).is_err());
     }
 
     fn counter(tele: &cosmos_telemetry::Telemetry, name: &str) -> u64 {

@@ -9,6 +9,9 @@
 //!   `COSMOS_JOBS`, or the machine's available parallelism,
 //! - traces are shared **by reference** into the scope: a multi-million
 //!   access `Trace` is generated once and never cloned,
+//! - work the jobs would repeat is done once per grid: designs over one
+//!   trace and cache hierarchy replay one recorded L1/L2/LLC front end,
+//!   and sampled jobs over one trace share one sampling plan,
 //! - results come back in **job order**, no matter which worker finished
 //!   when, so serial and parallel runs produce byte-identical reports.
 //!
@@ -37,11 +40,12 @@
 //! ```
 
 use cosmos_common::Trace;
-use cosmos_core::{Design, SimConfig, SimStats, Simulator};
+use cosmos_core::{Design, FrontEndStream, HierarchyKey, SimConfig, SimStats, Simulator};
 use cosmos_sampling::{run_sampled, SamplingConfig, SamplingPlan};
 use cosmos_telemetry::Telemetry;
 use cosmos_verify::CheckReport;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A configuration tweak applied on top of [`SimConfig::paper_default`].
 ///
@@ -121,25 +125,62 @@ impl<'a> Job<'a> {
         self
     }
 
-    fn execute(&self) -> JobResult {
+    /// The configuration the job simulates under: the paper default for
+    /// its design, its seed, its tweak, then its telemetry handle.
+    fn config(&self) -> SimConfig {
         let mut config = SimConfig::paper_default(self.design);
         config.seed = self.seed;
         if let Some(tweak) = &self.tweak {
             tweak(&mut config);
         }
         config.telemetry = self.telemetry.clone();
+        config
+    }
+
+    /// What this job can share with other jobs of its grid, given its
+    /// `config`: a sampled job shares its plan with every job sampling the
+    /// same trace the same way; a full run that is neither checked nor
+    /// observed shares its front end with every such job over the same
+    /// trace and hierarchy. Checked and telemetry jobs run the whole
+    /// simulator live, so the oracles and hooks see every cache level.
+    fn share_key(&self, config: &SimConfig) -> Option<ShareKey> {
+        let trace = std::ptr::from_ref(self.trace).addr();
+        match self.sample {
+            Some(sampling) => Some(ShareKey::Plan(trace, sampling)),
+            None if !self.check && !self.telemetry.is_enabled() => {
+                Some(ShareKey::FrontEnd(trace, HierarchyKey::of(config)))
+            }
+            None => None,
+        }
+    }
+
+    /// Builds the input shared under `key`, for every job of its group.
+    fn prepare(&self, config: &SimConfig, key: ShareKey) -> Shared {
+        match key {
+            ShareKey::FrontEnd(..) => {
+                Shared::FrontEnd(Arc::new(FrontEndStream::record(config, self.trace)))
+            }
+            ShareKey::Plan(_, sampling) => Shared::Plan(SamplingPlan::build(self.trace, &sampling)),
+        }
+    }
+
+    fn execute(&self, config: &SimConfig, shared: Option<&Shared>) -> JobResult {
+        let config = config.clone();
         let _sim_phase = self.telemetry.phase("sim");
-        let (stats, simulated_accesses) = match (&self.sample, self.check) {
-            (Some(sampling), false) => {
-                let plan = SamplingPlan::build(self.trace, sampling);
-                let run = run_sampled(&config, self.trace, &plan);
+        let (stats, simulated_accesses) = match (shared, self.check) {
+            (Some(Shared::Plan(plan)), false) => {
+                let run = run_sampled(&config, self.trace, plan);
                 (run.stats, run.simulated_accesses)
             }
-            (Some(sampling), true) => {
-                let plan = SamplingPlan::build(self.trace, sampling);
-                let (run, report) = cosmos_verify::run_checked_sampled(&config, self.trace, &plan);
+            (Some(Shared::Plan(plan)), true) => {
+                let (run, report) = cosmos_verify::run_checked_sampled(&config, self.trace, plan);
                 self.report_check(&report);
                 (run.stats, run.simulated_accesses)
+            }
+            (Some(Shared::FrontEnd(stream)), _) => {
+                let stats = Simulator::replaying(config, Arc::clone(stream)).run(self.trace);
+                let simulated = stats.accesses;
+                (stats, simulated)
             }
             (None, false) => {
                 let stats = Simulator::new(config).run(self.trace);
@@ -189,8 +230,53 @@ pub struct JobResult {
     pub simulated_accesses: u64,
 }
 
+/// Which jobs of a grid share one prepared input: the trace (by address)
+/// and what the input depends on besides it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum ShareKey {
+    /// A recorded front end: the hierarchy it was recorded under.
+    FrontEnd(usize, HierarchyKey),
+    /// A sampling plan: the configuration it was built under.
+    Plan(usize, SamplingConfig),
+}
+
+/// An input prepared once and used by every job of its group.
+enum Shared {
+    FrontEnd(Arc<FrontEndStream>),
+    Plan(SamplingPlan),
+}
+
+/// Each job's share key. A front end only one job would replay is
+/// cheaper to simulate live, so such a job gets none.
+fn share_keys(jobs: &[Job<'_>], configs: &[SimConfig]) -> Vec<Option<ShareKey>> {
+    let keys: Vec<Option<ShareKey>> = jobs
+        .iter()
+        .zip(configs)
+        .map(|(job, config)| job.share_key(config))
+        .collect();
+    keys.iter()
+        .map(|&key| match key {
+            Some(ShareKey::FrontEnd(..)) if keys.iter().filter(|k| **k == key).count() < 2 => None,
+            key => key,
+        })
+        .collect()
+}
+
 /// Runs `jobs` on up to `workers` threads, returning results **in job
 /// order**.
+///
+/// Work that jobs of one grid would repeat is done once, on the pool,
+/// before the jobs fan out:
+///
+/// - full runs that are neither checked nor observed by telemetry share
+///   one recorded front end per (trace, L1/L2/LLC geometry after tweaks)
+///   and replay it ([`Simulator::replaying`]), when at least two of them
+///   share it;
+/// - sampled jobs share one [`SamplingPlan`] per (trace,
+///   [`SamplingConfig`]).
+///
+/// Both inputs are pure functions of what their group shares, so every
+/// result is byte-identical to running its job alone, for any `workers`.
 ///
 /// `workers` is clamped to `1..=jobs.len()`; with one worker (or one job)
 /// the pool is skipped entirely and the grid runs inline on the calling
@@ -202,36 +288,47 @@ pub struct JobResult {
 /// Propagates a panic from any job (the remaining jobs may or may not have
 /// run).
 pub fn run_jobs(jobs: Vec<Job<'_>>, workers: usize) -> Vec<JobResult> {
-    let workers = workers.clamp(1, jobs.len().max(1));
-    if workers == 1 {
-        return jobs.iter().map(Job::execute).collect();
-    }
+    let configs: Vec<SimConfig> = jobs.iter().map(Job::config).collect();
+    let keys = share_keys(&jobs, &configs);
 
-    let cursor = AtomicUsize::new(0);
-    let jobs = &jobs;
-    let mut tagged: Vec<(usize, JobResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        out.push((i, job.execute()));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
+    // Distinct keys in first-appearance order, each prepared by its first
+    // job; `group[i]` indexes job i's.
+    let mut distinct: Vec<(ShareKey, usize)> = Vec::new();
+    let group: Vec<Option<usize>> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| {
+            let key = (*key)?;
+            Some(
+                distinct
+                    .iter()
+                    .position(|(k, _)| *k == key)
+                    .unwrap_or_else(|| {
+                        distinct.push((key, i));
+                        distinct.len() - 1
+                    }),
+            )
+        })
+        .collect();
+    let prepare: Vec<Task<'_, Shared>> = distinct
+        .iter()
+        .map(|&(key, i)| {
+            let (job, config) = (&jobs[i], &configs[i]);
+            Box::new(move || job.prepare(config, key)) as Task<'_, Shared>
+        })
+        .collect();
+    let shared = run_tasks(prepare, workers);
 
-    tagged.sort_unstable_by_key(|(i, _)| *i);
-    debug_assert!(tagged.iter().enumerate().all(|(k, (i, _))| k == *i));
-    tagged.into_iter().map(|(_, r)| r).collect()
+    let tasks: Vec<Task<'_, JobResult>> = jobs
+        .iter()
+        .zip(&configs)
+        .zip(group)
+        .map(|((job, config), group)| {
+            let shared = group.map(|g| &shared[g]);
+            Box::new(move || job.execute(config, shared)) as Task<'_, JobResult>
+        })
+        .collect();
+    run_tasks(tasks, workers)
 }
 
 /// An arbitrary independent unit of work for [`run_tasks`]. `Fn` (not
@@ -455,6 +552,129 @@ mod tests {
         let text = tele.metrics_text();
         assert!(text.contains("phase sim"), "sim phase missing:\n{text}");
         assert!(text.contains("counter cache.ctr."), "CTR counters missing");
+    }
+
+    fn small_sampling() -> SamplingConfig {
+        SamplingConfig {
+            interval_len: 1_024,
+            clusters: 2,
+            warmup_len: 512,
+            prime_len: 0,
+            kmeans_iters: 16,
+            seed: 9,
+        }
+    }
+
+    /// Two traces; a front-end group with a CTR-only tweak, a second
+    /// group under a smaller LLC, a lone full run, a checked job, a
+    /// telemetry job, and two sampled jobs sharing a plan.
+    fn mixed_grid<'a>(traces: &'a [(String, Trace)], telemetry: &Telemetry) -> Vec<Job<'a>> {
+        let (a, b) = (&traces[0].1, &traces[1].1);
+        let sampled = Some(small_sampling());
+        vec![
+            Job::new("a/np", Design::Np, a, 42),
+            Job::new("a/morph", Design::MorphCtr, a, 42),
+            Job::new("a/cosmos-ctr64k", Design::Cosmos, a, 42)
+                .with_tweak(|c| c.ctr_cache.size_bytes = 64 * 1024),
+            Job::new("a/morph-llc2m", Design::MorphCtr, a, 42)
+                .with_tweak(|c| c.llc.size_bytes = 2 << 20),
+            Job::new("a/cosmos-llc2m", Design::Cosmos, a, 42)
+                .with_tweak(|c| c.llc.size_bytes = 2 << 20),
+            Job::new("b/cosmos", Design::Cosmos, b, 42),
+            Job::new("b/morph-checked", Design::MorphCtr, b, 42).with_check(true),
+            Job::new("b/emcc-observed", Design::Emcc, b, 42)
+                .with_telemetry(telemetry.scope("b/emcc-observed")),
+            Job::new("b/morph-sampled", Design::MorphCtr, b, 42).with_sample(sampled),
+            Job::new("b/cosmos-sampled", Design::Cosmos, b, 42).with_sample(sampled),
+        ]
+    }
+
+    #[test]
+    fn shared_inputs_leave_every_result_as_a_lone_run_would() {
+        let traces = test_traces();
+        let telemetry = Telemetry::in_memory();
+        let expected: Vec<SimStats> = mixed_grid(&traces, &telemetry)
+            .iter()
+            .map(|job| {
+                let config = job.config();
+                match &job.sample {
+                    Some(s) => {
+                        run_sampled(&config, job.trace, &SamplingPlan::build(job.trace, s)).stats
+                    }
+                    None => Simulator::new(config).run(job.trace),
+                }
+            })
+            .collect();
+        for workers in [1, 4] {
+            let results = run_jobs(mixed_grid(&traces, &telemetry), workers);
+            let stats: Vec<SimStats> = results.into_iter().map(|r| r.stats).collect();
+            assert_eq!(stats, expected, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn only_shared_unchecked_unobserved_full_runs_replay() {
+        let traces = test_traces();
+        let telemetry = Telemetry::in_memory();
+        let jobs = mixed_grid(&traces, &telemetry);
+        let configs: Vec<SimConfig> = jobs.iter().map(Job::config).collect();
+        let keys = share_keys(&jobs, &configs);
+        let replays: Vec<&str> = jobs
+            .iter()
+            .zip(&keys)
+            .filter(|(_, k)| matches!(k, Some(ShareKey::FrontEnd(..))))
+            .map(|(j, _)| j.label.as_str())
+            .collect();
+        assert_eq!(
+            replays,
+            [
+                "a/np",
+                "a/morph",
+                "a/cosmos-ctr64k",
+                "a/morph-llc2m",
+                "a/cosmos-llc2m"
+            ]
+        );
+        // Two front-end groups (default and 2 MiB LLC) and one plan.
+        let plans = keys
+            .iter()
+            .filter(|k| matches!(k, Some(ShareKey::Plan(..))))
+            .count();
+        assert_eq!(plans, 2);
+        assert_ne!(keys[0], keys[3], "the LLC tweak must split the group");
+        assert_eq!(keys[8], keys[9], "same trace and sampling share a plan");
+    }
+
+    #[test]
+    fn figure_grids_replay_every_job_unless_sampled_or_observed() {
+        let traces = test_traces();
+        let designs = [
+            Design::Np,
+            Design::MorphCtr,
+            Design::CosmosCp,
+            Design::CosmosDp,
+            Design::Cosmos,
+        ];
+        let replayed = |sample: Option<SamplingConfig>, telemetry: Telemetry| {
+            let jobs: Vec<Job<'_>> = traces
+                .iter()
+                .flat_map(|(name, trace)| designs.map(|d| (name, trace, d)))
+                .map(|(name, trace, d)| {
+                    let label = format!("{name}/{d}");
+                    Job::new(label.clone(), d, trace, 42)
+                        .with_sample(sample)
+                        .with_telemetry(telemetry.scope(&label))
+                })
+                .collect();
+            let configs: Vec<SimConfig> = jobs.iter().map(Job::config).collect();
+            share_keys(&jobs, &configs)
+                .iter()
+                .filter(|k| matches!(k, Some(ShareKey::FrontEnd(..))))
+                .count()
+        };
+        assert_eq!(replayed(None, Telemetry::disabled()), 10);
+        assert_eq!(replayed(Some(small_sampling()), Telemetry::disabled()), 0);
+        assert_eq!(replayed(None, Telemetry::in_memory()), 0);
     }
 
     #[test]

@@ -104,7 +104,12 @@ fn run_ckpt(args: &[String]) -> Result<(), String> {
 
     interrupt::install();
     let config = cosmos_core::SimConfig::paper_default(design);
-    let trace = build_trace(workload, accesses, seed);
+    let trace = build_trace(
+        workload,
+        accesses,
+        seed,
+        &cosmos_telemetry::Telemetry::disabled(),
+    );
     let run = CheckpointRun {
         config: &config,
         trace: &trace,

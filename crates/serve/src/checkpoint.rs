@@ -11,6 +11,8 @@
 use crate::snapshot::SimSnapshot;
 use cosmos_common::Trace;
 use cosmos_core::{Design, SimConfig, SimStats, Simulator};
+use cosmos_experiments::GraphSet;
+use cosmos_telemetry::Telemetry;
 use cosmos_verify::CheckReport;
 use cosmos_workloads::{TraceSpec, Workload};
 use std::path::Path;
@@ -184,9 +186,19 @@ pub fn run_checkpointed(
 }
 
 /// Builds the trace for a named sim job: `workload` at `accesses` under
-/// the paper-default spec with `seed`.
-pub fn build_trace(workload: Workload, accesses: usize, seed: u64) -> Trace {
-    workload.generate(&TraceSpec::paper_default(accesses, seed))
+/// the paper-default spec with `seed`. Graph construction is timed under
+/// `telemetry`'s `graph_gen` phase and trace generation under
+/// `trace_gen`, as [`GraphSet::with_telemetry`] times them for the figure
+/// binaries.
+pub fn build_trace(workload: Workload, accesses: usize, seed: u64, telemetry: &Telemetry) -> Trace {
+    let spec = TraceSpec::paper_default(accesses, seed);
+    match workload {
+        Workload::Graph(kernel) => GraphSet::with_telemetry(spec, telemetry.clone()).trace(kernel),
+        _ => {
+            let _p = telemetry.phase("trace_gen");
+            workload.generate(&spec)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -218,7 +230,12 @@ mod tests {
         let dir = tmpdir("stop_resume");
         let snap = dir.join("run.snap.json");
         let config = SimConfig::paper_default(Design::Cosmos);
-        let trace = build_trace(workload_by_name("bfs").unwrap(), 8_000, 11);
+        let trace = build_trace(
+            workload_by_name("bfs").unwrap(),
+            8_000,
+            11,
+            &Telemetry::disabled(),
+        );
         let cancel = AtomicBool::new(false);
 
         // Uninterrupted reference (no snapshot file → fresh run).
@@ -269,7 +286,12 @@ mod tests {
         let dir = tmpdir("checked_resume");
         let snap = dir.join("run.snap.json");
         let config = SimConfig::paper_default(Design::MorphCtr);
-        let trace = build_trace(workload_by_name("pr").unwrap(), 6_000, 3);
+        let trace = build_trace(
+            workload_by_name("pr").unwrap(),
+            6_000,
+            3,
+            &Telemetry::disabled(),
+        );
         let cancel = AtomicBool::new(false);
 
         let reference = {
@@ -320,7 +342,12 @@ mod tests {
         let dir = tmpdir("cancel");
         let snap = dir.join("run.snap.json");
         let config = SimConfig::paper_default(Design::MorphCtr);
-        let trace = build_trace(workload_by_name("dfs").unwrap(), 9_000, 5);
+        let trace = build_trace(
+            workload_by_name("dfs").unwrap(),
+            9_000,
+            5,
+            &Telemetry::disabled(),
+        );
 
         let reference = {
             let cancel = AtomicBool::new(false);
@@ -368,7 +395,12 @@ mod tests {
         let dir = tmpdir("periodic");
         let snap = dir.join("run.snap.json");
         let config = SimConfig::paper_default(Design::MorphCtr);
-        let trace = build_trace(workload_by_name("bfs").unwrap(), 5_000, 9);
+        let trace = build_trace(
+            workload_by_name("bfs").unwrap(),
+            5_000,
+            9,
+            &Telemetry::disabled(),
+        );
         let cancel = AtomicBool::new(false);
         let run = CheckpointRun {
             config: &config,

@@ -11,8 +11,9 @@ use crate::runner::{run_checked, CheckReport};
 use cosmos_cache::PrefetcherKind;
 use cosmos_common::json::{json, Value};
 use cosmos_common::{MemAccess, PhysAddr, SplitMix64, Trace};
-use cosmos_core::{Design, SimConfig, Simulator};
+use cosmos_core::{Design, FrontEndStream, SimConfig, Simulator};
 use cosmos_secure::CounterScheme;
+use std::sync::Arc;
 
 const DESIGNS: [Design; 7] = [
     Design::Np,
@@ -128,7 +129,9 @@ pub struct FuzzFailure {
 /// Runs every oracle over `trace` under `config`; returns violations
 /// (empty = clean). Beyond the oracles, the checked run's statistics must
 /// be byte-identical to an unchecked run — a divergence means the
-/// observer perturbed the simulation, itself a reportable bug.
+/// observer perturbed the simulation, itself a reportable bug — and so
+/// must a run replaying the trace's recorded front end, the fast path the
+/// experiment runner takes for grids of full runs.
 pub fn check_once(config: &SimConfig, trace: &Trace) -> (CheckReport, Vec<Violation>) {
     let (stats, report) = run_checked(config, trace);
     let mut violations = report.violations.clone();
@@ -137,6 +140,14 @@ pub fn check_once(config: &SimConfig, trace: &Trace) -> (CheckReport, Vec<Violat
         violations.push(Violation::new(
             "checked-run-divergence",
             "checked run produced different statistics than the unchecked run".to_string(),
+        ));
+    }
+    let stream = Arc::new(FrontEndStream::record(config, trace));
+    if Simulator::replaying(config.clone(), stream).run(trace) != plain {
+        violations.push(Violation::new(
+            "replay-divergence",
+            "replaying the recorded front end produced different statistics than the live run"
+                .to_string(),
         ));
     }
     (report, violations)

@@ -71,6 +71,11 @@ rm -f "$smoke_json"
 
 # Checked-mode smoke: the oracles must observe without perturbing — the
 # same grid with and without --check has to emit byte-identical artifacts.
+# A plain grid replays each trace's recorded L1/L2/LLC front end into its
+# designs, while --check runs every job live, so the same cmp also proves
+# replay identical to the live simulation: fig02 (counter schemes), fig10
+# (the full design grid), fig05 (CTR policies and prefetchers sharing one
+# hierarchy) and fig15 (one group per core count).
 stage check-identity
 plain_json="$(mktemp)"
 checked_json="$(mktemp)"
@@ -83,20 +88,19 @@ cmp "$plain_json" "$checked_json" || {
     exit 1
 }
 rm -f "$checked_json"
-# Same identity on the full design grid (fig10): the event-driven stepping
-# core must produce byte-identical artifacts whether or not the shadow
-# models are watching every access.
-f10_plain="$(mktemp)"
-f10_checked="$(mktemp)"
-cargo run --release -q -p cosmos-experiments --bin fig10_performance -- \
-    --accesses 20000 --jobs 2 --json "$f10_plain" >/dev/null
-cargo run --release -q -p cosmos-experiments --bin fig10_performance -- \
-    --accesses 20000 --jobs 2 --check --json "$f10_checked" >/dev/null
-cmp "$f10_plain" "$f10_checked" || {
-    echo "check.sh: --check perturbed the fig10_performance artifact" >&2
-    exit 1
-}
-rm -f "$f10_plain" "$f10_checked"
+for bin in fig10_performance fig05_classic_opts fig15_scaling; do
+    grid_plain="$(mktemp)"
+    grid_checked="$(mktemp)"
+    cargo run --release -q -p cosmos-experiments --bin "$bin" -- \
+        --accesses 20000 --jobs 2 --json "$grid_plain" >/dev/null
+    cargo run --release -q -p cosmos-experiments --bin "$bin" -- \
+        --accesses 20000 --jobs 2 --check --json "$grid_checked" >/dev/null
+    cmp "$grid_plain" "$grid_checked" || {
+        echo "check.sh: --check perturbed the $bin artifact" >&2
+        exit 1
+    }
+    rm -f "$grid_plain" "$grid_checked"
+done
 
 # Telemetry identity smoke: --telemetry must also observe without
 # perturbing — same grid, same seed, byte-identical result artifact —
